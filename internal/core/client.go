@@ -91,16 +91,24 @@ func WithMutability(m object.Mutability) CreateOpt {
 func (cl *Client) check(r Ref, need capability.Rights) error {
 	err := cl.checkErr(r, need)
 	if t := trace.Of(cl.c.env); t != nil {
-		attrs := []trace.Attr{
-			trace.Int("obj", int64(r.cap.Object())),
-			trace.Str("need", need.String()),
-		}
-		if err != nil {
-			attrs = append(attrs, trace.Str("denied", err.Error()))
-		}
-		t.Instant("capability", "cap", "check", attrs...)
+		traceCheck(t, r, need, err)
 	}
 	return err
+}
+
+// traceCheck records one capability check. Like every span helper on the
+// data path it is kept out of line, so untraced callers' frames stay small.
+//
+//go:noinline
+func traceCheck(t *trace.Tracer, r Ref, need capability.Rights, err error) {
+	attrs := []trace.Attr{
+		trace.Int("obj", int64(r.cap.Object())),
+		trace.Str("need", need.String()),
+	}
+	if err != nil {
+		attrs = append(attrs, trace.Str("denied", err.Error()))
+	}
+	t.Instant("capability", "cap", "check", attrs...)
 }
 
 func (cl *Client) checkErr(r Ref, need capability.Rights) error {
@@ -121,9 +129,19 @@ func (cl *Client) observe(p *sim.Proc, start sim.Time) {
 // opSpan opens a span for one client operation: cat "core.data" for payload
 // ops, "core.meta" for metadata-only ops. The span nests under whatever the
 // calling process has open (a function's exec span, a task span, ...).
+// Untraced, it is one nil check.
 func (cl *Client) opSpan(p *sim.Proc, cat, name string, obj object.ID) *trace.Span {
-	return trace.Of(cl.c.env).Start(p, cat, name,
-		trace.Int("obj", int64(obj)), trace.Int("origin", int64(cl.node)))
+	if t := trace.Of(cl.c.env); t != nil {
+		return startOpSpan(t, p, cat, name, obj, cl.node)
+	}
+	return nil
+}
+
+// startOpSpan is opSpan's traced path, kept out of line like traceCheck.
+//
+//go:noinline
+func startOpSpan(t *trace.Tracer, p *sim.Proc, cat, name string, obj object.ID, origin simnet.NodeID) *trace.Span {
+	return t.Start(p, cat, name, trace.Int("obj", int64(obj)), trace.Int("origin", int64(origin)))
 }
 
 // Create makes a new object and returns a full-rights reference to it.
@@ -252,45 +270,26 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 	sp := cl.opSpan(p, "core.data", "get", r.cap.Object())
 	defer sp.Close(p)
 	if e, ok := cl.c.ephemOf(r.cap.Object()); ok {
-		var data []byte
-		err := cl.ephemView(p, e, int(e.obj.Size()), func(o *object.Object) error {
-			data = o.Read()
-			return nil
-		})
-		return data, err
+		return cl.ephemGet(p, e)
 	}
 	start := p.Now()
 	if e, ok := cl.c.cacheFor(cl.node)[r.cap.Object()]; ok && e.stable {
 		cl.c.CacheHits++
 		sp.Annotate(trace.Str("cache", "hit"))
-		p.Sleep(media.DRAM.ReadCost(int64(len(e.data))))
-		cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(e.data)), false))
-		cl.observe(p, start)
-		return append([]byte(nil), e.data...), nil
+		return cl.serveLocal(p, e.data, start), nil
 	}
 	// Lease path: a linearizable read served from the colocated cache skips
 	// both the network round trip and the primary's per-object lock — the
-	// Cloudburst win. Validity is audited on every hit: an entry whose fill
-	// stamp trails the store's newest is a coherence violation, not a
-	// staleness allowance.
+	// Cloudburst win.
 	fc := cl.c.fncache
 	leased := fc != nil && r.lvl == consistency.Linearizable
-	key := fncache.Key(r.cap.Object())
-	if leased {
-		if data, stamp, ok := fc.LeaseGet(int(cl.node), key, p.Now()); ok {
-			if newest, have := cl.c.grp.NewestStamp(r.cap.Object()); have && stamp.Less(newest) {
-				fc.StaleLeaseServes.Inc()
-			}
-			sp.Annotate(trace.Str("fncache", "hit"))
-			p.Sleep(media.DRAM.ReadCost(int64(len(data))))
-			cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
-			cl.observe(p, start)
-			return append([]byte(nil), data...), nil
-		}
-	}
 	var epochAtRead uint64
 	if leased {
-		epochAtRead = fc.Epoch(key)
+		data, epoch, ok := cl.leaseGet(p, r, sp)
+		if ok {
+			return cl.serveLocal(p, data, start), nil
+		}
+		epochAtRead = epoch
 	}
 	var data []byte
 	var frozen bool
@@ -312,18 +311,61 @@ func (cl *Client) Get(p *sim.Proc, r Ref) ([]byte, error) {
 		cl.c.cacheFor(cl.node)[r.cap.Object()] = &cacheEntry{data: append([]byte(nil), data...), stable: frozen}
 		cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), r.lvl == consistency.Linearizable))
 		if leased && kind == object.Regular {
-			// Fill under the epoch recorded before the read; a write that
-			// slipped in between bumped it and the fill is refused. Only
-			// plain payload objects are cached: FIFOs, sockets, and
+			// Only plain payload objects are cached: FIFOs, sockets, and
 			// directories mutate through verbs the lease directory does not
 			// hook.
-			stamp, _ := cl.c.grp.PrimaryStamp(r.cap.Object())
-			fc.LeaseFill(int(cl.node), key, data, stamp, epochAtRead, p.Now())
+			cl.leaseFill(p, r, data, epochAtRead)
 		}
 	}
 	cl.c.BytesMoved += int64(len(data))
 	cl.observe(p, start)
 	return data, err
+}
+
+// ephemGet is Get's path for an ephemeral object, kept out of Get's frame.
+func (cl *Client) ephemGet(p *sim.Proc, e *ephemObj) ([]byte, error) {
+	var data []byte
+	err := cl.ephemView(p, e, int(e.obj.Size()), func(o *object.Object) error {
+		data = o.Read()
+		return nil
+	})
+	return data, err
+}
+
+// serveLocal completes a Get served from the client node's memory (a
+// stable cache entry or a lease hit) and returns a copy of data.
+func (cl *Client) serveLocal(p *sim.Proc, data []byte, start sim.Time) []byte {
+	p.Sleep(media.DRAM.ReadCost(int64(len(data))))
+	cl.c.Meter.Charge("read", cost.PCSIBook.ReadCost(int64(len(data)), false))
+	cl.observe(p, start)
+	return append([]byte(nil), data...)
+}
+
+// leaseGet looks r's object up in the colocated cache's lease directory.
+// Validity is audited on every hit: an entry whose fill stamp trails the
+// store's newest is a coherence violation, not a staleness allowance. On a
+// miss it returns the key's epoch, under which the remote read's result
+// may later fill the directory.
+func (cl *Client) leaseGet(p *sim.Proc, r Ref, sp *trace.Span) (data []byte, epoch uint64, ok bool) {
+	fc := cl.c.fncache
+	key := fncache.Key(r.cap.Object())
+	data, stamp, ok := fc.LeaseGet(int(cl.node), key, p.Now())
+	if !ok {
+		return nil, fc.Epoch(key), false
+	}
+	if newest, have := cl.c.grp.NewestStamp(r.cap.Object()); have && stamp.Less(newest) {
+		fc.StaleLeaseServes.Inc()
+	}
+	sp.Annotate(trace.Str("fncache", "hit"))
+	return data, 0, true
+}
+
+// leaseFill fills the lease directory after a remote read, under the epoch
+// recorded before the read: a write that slipped in between bumped it and
+// the fill is refused.
+func (cl *Client) leaseFill(p *sim.Proc, r Ref, data []byte, epochAtRead uint64) {
+	stamp, _ := cl.c.grp.PrimaryStamp(r.cap.Object())
+	cl.c.fncache.LeaseFill(int(cl.node), fncache.Key(r.cap.Object()), data, stamp, epochAtRead, p.Now())
 }
 
 // GetAt reads at a specific consistency level, overriding the reference's

@@ -311,7 +311,9 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	// admits inline with zero overhead.
 	grant, err := rt.cfg.QoS.Admit(p, qos.Request{Tenant: hints.Tenant, Class: qos.ClassInvoke})
 	if err != nil {
-		sp.Annotate(trace.Str("err", err.Error()))
+		if sp != nil {
+			sp.Annotate(trace.Str("err", err.Error()))
+		}
 		sp.Close(p)
 		return nil, err
 	}
@@ -321,7 +323,9 @@ func (rt *Runtime) Invoke(p *sim.Proc, name string, body []byte, hints Placement
 	qsp.Close(p)
 	if err != nil {
 		rt.InvokeFails.Inc()
-		sp.Annotate(trace.Str("err", err.Error()))
+		if sp != nil {
+			sp.Annotate(trace.Str("err", err.Error()))
+		}
 		sp.Close(p)
 		return nil, err
 	}

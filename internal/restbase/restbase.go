@@ -193,7 +193,9 @@ func (g *Gateway) request(p *sim.Proc, client simnet.NodeID, creds string, reqBo
 	start := p.Now()
 	g.Requests.Inc()
 	if err := fault.Of(g.env).OpFault(p, "rest.request"); err != nil {
-		sp.Annotate(trace.Str("err", err.Error()))
+		if sp != nil {
+			sp.Annotate(trace.Str("err", err.Error()))
+		}
 		return err
 	}
 	csp := tr.Start(p, "rest.connect", "connect")

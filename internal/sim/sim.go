@@ -4,8 +4,18 @@
 // Simulated activities are written as ordinary Go functions ("processes")
 // that run on their own goroutines but execute strictly one at a time: a
 // process runs until it parks (Sleep, Wait, Acquire, ...) and only then does
-// the engine dispatch the next event. This gives deterministic, race-free
-// simulations with natural sequential code.
+// the next event run. This gives deterministic, race-free simulations with
+// natural sequential code.
+//
+// There is no engine goroutine. Whichever goroutine gives up control runs
+// the dispatch loop itself: a process that parks or exits pops the next
+// events, runs At/After callbacks inline, and hands control straight to the
+// next process (resuming it, or launching its goroutine). That costs one
+// goroutine switch per process event, and none when the next event resumes
+// the parking process itself. The goroutine that called Run only dispatches
+// until the first handoff and then waits until the queue drains or passes
+// the RunUntil limit. A callback that panics on a process goroutine has its
+// panic caught there and re-raised from Run, on the caller's goroutine.
 //
 // Virtual time is completely decoupled from wall-clock time: a Sleep of ten
 // simulated minutes costs only one event dispatch.
@@ -15,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -118,9 +129,17 @@ type Env struct {
 	now        Time
 	queue      eventHeap
 	seq        uint64
-	dispatched uint64        // events popped and run, for benchmarking
-	yield      chan struct{} // signalled by a process when it parks or exits
-	procs      int           // live processes
+	dispatched uint64 // events popped and run, for benchmarking
+	// horizon is the latest event time the dispatch loop may run: the
+	// RunUntil limit, the end of time for Run, and -1 (nothing) while
+	// shutdown aborts parked processes.
+	horizon Time
+	// done is signalled to the goroutine waiting in Run by the process
+	// goroutine whose dispatch loop stopped: the queue drained, passed the
+	// horizon, or a callback panicked.
+	done     chan struct{}
+	panicked any // a callback's recovered panic, re-raised by Run
+	procs    int // live processes
 	// Parked processes form an intrusive doubly-linked list in park order
 	// (head = oldest), so parking and unparking are O(1) and shutdown still
 	// aborts deterministically oldest-first.
@@ -138,9 +157,9 @@ type Env struct {
 // the environment's random stream; equal seeds give identical runs.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
+		done: make(chan struct{}),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -273,9 +292,10 @@ func (p *Proc) main() {
 	p.fn(p)
 }
 
-// exit marks the process dead and hands control back to the engine. It is
-// the deferred frame of main, so recover here intercepts the ErrAborted
-// panic that shutdown delivers to parked processes.
+// exit marks the process dead and passes control on: its goroutine runs
+// the dispatch loop one last time and ends once another goroutine holds
+// control. It is the deferred frame of main, so recover here intercepts
+// the ErrAborted panic that shutdown delivers to parked processes.
 func (p *Proc) exit() {
 	e := p.env
 	p.dead = true
@@ -285,10 +305,14 @@ func (p *Proc) exit() {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
 	}
-	e.yield <- struct{}{}
+	if e.dispatch(nil) == stopped {
+		e.done <- struct{}{}
+	}
 }
 
-// park suspends the calling process until the engine resumes it.
+// park suspends the calling process until its wake-up event runs. The
+// process dispatches events itself while it waits: when its own wake-up
+// is next it simply returns, without a goroutine switch.
 //
 //pcsi:hotpath
 func (p *Proc) park() {
@@ -300,8 +324,13 @@ func (p *Proc) park() {
 		e.parkedHead = p
 	}
 	e.parkedTail = p
-	e.yield <- struct{}{}
-	<-p.resume
+	switch e.dispatch(p) {
+	case handedOff:
+		<-p.resume
+	case stopped:
+		e.done <- struct{}{}
+		<-p.resume
+	}
 	if p.parkedPrev != nil {
 		p.parkedPrev.parkedNext = p.parkedNext
 	} else {
@@ -343,42 +372,34 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run drains the event queue, advancing the clock, and returns the final
 // time. After the queue drains, any processes still parked (waiting on
-// events that will never complete) are aborted.
+// events that will never complete) are aborted. A panic in an At/After
+// callback stops the run and is re-raised here, whichever goroutine the
+// callback ran on.
 func (e *Env) Run() Time { return e.runUntil(-1) }
 
 // RunUntil runs events up to and including time t, then stops without
 // aborting parked processes; Run or RunUntil may be called again.
 func (e *Env) RunUntil(t Time) Time { return e.runUntil(t) }
 
-// runUntil is the dispatch loop: pop the earliest event, advance the
-// clock, and run it. Process events (the common case) resume or launch
-// their goroutine directly; only At/After events call through fn.
-//
-//pcsi:hotpath
+// runUntil starts the dispatch loop on the caller's goroutine and, once the
+// loop has handed control to a process, waits for the process goroutine
+// whose loop stops.
 func (e *Env) runUntil(limit Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
 	defer e.stopRunning()
-	for len(e.queue) > 0 {
-		if limit >= 0 && e.queue.peek().t > limit {
-			e.now = limit
-			return e.now
-		}
-		ev := e.queue.pop()
-		e.now = ev.t
-		e.dispatched++
-		switch {
-		case ev.proc == nil:
-			ev.fn()
-		case ev.start:
-			go ev.proc.main()
-			<-e.yield // wait until the new process parks or exits
-		default:
-			ev.proc.resume <- struct{}{}
-			<-e.yield
-		}
+	e.horizon = limit
+	if limit < 0 {
+		e.horizon = math.MaxInt64
+	}
+	if e.dispatch(nil) == handedOff {
+		<-e.done
+	}
+	if v := e.panicked; v != nil {
+		e.panicked = nil
+		panic(v)
 	}
 	if limit < 0 {
 		e.shutdown()
@@ -390,15 +411,72 @@ func (e *Env) runUntil(limit Time) Time {
 
 func (e *Env) stopRunning() { e.running = false }
 
+// handoff is how a dispatch loop ended.
+type handoff uint8
+
+const (
+	resumedSelf handoff = iota // the next event resumes the dispatching process
+	handedOff                  // another goroutine now holds control
+	stopped                    // queue drained or past the horizon, or a callback panicked
+)
+
+// dispatch is the dispatch loop, run by whichever goroutine gives up
+// control: self is the parking process, or nil for an exiting process and
+// for Run's caller. It pops the earliest event, advances the clock and
+// runs it. Callbacks run inline; a process event ends the loop by handing
+// control to that process, unless it is self.
+//
+//pcsi:hotpath
+func (e *Env) dispatch(self *Proc) handoff {
+	for len(e.queue) > 0 && e.queue.peek().t <= e.horizon {
+		ev := e.queue.pop()
+		e.now = ev.t
+		e.dispatched++
+		switch {
+		case ev.proc == nil:
+			if !e.callback(ev.fn) {
+				return stopped
+			}
+		case ev.proc == self:
+			return resumedSelf
+		case ev.start:
+			go ev.proc.main()
+			return handedOff
+		default:
+			ev.proc.resume <- struct{}{}
+			return handedOff
+		}
+	}
+	return stopped
+}
+
+// callback runs an At/After callback and reports whether it returned
+// normally. A panic is kept in e.panicked for runUntil to re-raise: the
+// loop may be running on a process goroutine, where it would otherwise end
+// the program instead of reaching Run's caller.
+func (e *Env) callback(fn func()) bool {
+	defer e.catchPanic()
+	fn()
+	return true
+}
+
+func (e *Env) catchPanic() {
+	if r := recover(); r != nil {
+		e.panicked = r
+	}
+}
+
 // shutdown aborts every parked process, oldest park first. Each resumed
 // process removes itself from the parked list (in park) before it panics
-// with ErrAborted.
+// with ErrAborted; with the horizon at -1 its dispatch loop runs nothing
+// and hands control straight back, even if a deferred function sleeps.
 func (e *Env) shutdown() {
 	e.closed = true
+	e.horizon = -1
 	for e.parkedHead != nil {
 		p := e.parkedHead
 		p.resume <- struct{}{}
-		<-e.yield
+		<-e.done
 	}
 }
 

@@ -161,35 +161,51 @@ func (n *Network) OneWay(a, b NodeID, size int) time.Duration {
 func (n *Network) Send(p *sim.Proc, a, b NodeID, size int) {
 	n.Msgs++
 	n.Bytes += int64(size)
-	sp := trace.Of(n.env).Start(p, "net", "send",
-		trace.Int("src", int64(a)), trace.Int("dst", int64(b)), trace.Int("bytes", int64(size)))
+	var sp *trace.Span
+	if t := trace.Of(n.env); t != nil {
+		sp = sendSpan(t, p, a, b, size)
+	}
 	d := n.OneWay(a, b, size)
 	if n.faultFn != nil {
-		if lf := n.faultFn(a, b, size); lf != (LinkFault{}) {
-			if lf.Drop {
-				// Lost first copy: detection (one RTO, modelled as the
-				// un-jittered RTT) plus a retransmission taking the same
-				// one-way delay again. No extra jitter draw, so the shared
-				// random stream is untouched.
-				n.Drops++
-				d = 2*d + n.RTT(a, b)
-				sp.Annotate(trace.Str("fault", "drop"))
-			}
-			if lf.Duplicate {
-				n.Dups++
-				n.Msgs++
-				n.Bytes += int64(size)
-				sp.Annotate(trace.Str("fault", "dup"))
-			}
-			if lf.ExtraDelay > 0 {
-				n.Spikes++
-				d += lf.ExtraDelay
-				sp.Annotate(trace.Str("fault", "delay"))
-			}
-		}
+		d = n.linkFault(sp, a, b, size, d)
 	}
 	p.Sleep(d)
 	sp.Close(p)
+}
+
+// sendSpan opens Send's span. It is kept out of line so an untraced Send's
+// frame holds neither the attributes nor the tracer's locals.
+//
+//go:noinline
+func sendSpan(t *trace.Tracer, p *sim.Proc, a, b NodeID, size int) *trace.Span {
+	return t.Start(p, "net", "send",
+		trace.Int("src", int64(a)), trace.Int("dst", int64(b)), trace.Int("bytes", int64(size)))
+}
+
+// linkFault applies the fault hook's verdict to one message and returns
+// its delivery delay d adjusted for the fault.
+func (n *Network) linkFault(sp *trace.Span, a, b NodeID, size int, d time.Duration) time.Duration {
+	lf := n.faultFn(a, b, size)
+	if lf.Drop {
+		// Lost first copy: detection (one RTO, modelled as the un-jittered
+		// RTT) plus a retransmission taking the same one-way delay again.
+		// No extra jitter draw, so the shared random stream is untouched.
+		n.Drops++
+		d = 2*d + n.RTT(a, b)
+		sp.Annotate(trace.Str("fault", "drop"))
+	}
+	if lf.Duplicate {
+		n.Dups++
+		n.Msgs++
+		n.Bytes += int64(size)
+		sp.Annotate(trace.Str("fault", "dup"))
+	}
+	if lf.ExtraDelay > 0 {
+		n.Spikes++
+		d += lf.ExtraDelay
+		sp.Annotate(trace.Str("fault", "delay"))
+	}
+	return d
 }
 
 // Call performs a synchronous request/response exchange: request of reqSize

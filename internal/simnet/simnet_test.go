@@ -225,3 +225,17 @@ func TestReachableDefaultsTrue(t *testing.T) {
 		t.Fatal("removing the predicate did not restore reachability")
 	}
 }
+
+// With no trace collector active, Send's span site costs a nil check: the
+// whole send, sleep included, allocates nothing.
+func TestUntracedSendDoesNotAllocate(t *testing.T) {
+	env, net := newNet(t, DC2021)
+	a, b := net.AddNode(0), net.AddNode(1)
+	env.Go("sender", func(p *sim.Proc) {
+		allocs := testing.AllocsPerRun(100, func() { net.Send(p, a, b, 1024) })
+		if allocs != 0 {
+			t.Errorf("untraced Send: %v allocs per call, want 0", allocs)
+		}
+	})
+	env.Run()
+}

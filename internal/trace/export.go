@@ -116,7 +116,7 @@ func spanArgs(s *Span) map[string]any {
 		args["parent"] = uint64(s.Parent)
 	}
 	for _, a := range s.Attrs {
-		args[a.Key] = a.Value
+		args[a.Key] = a.Value()
 	}
 	return args
 }

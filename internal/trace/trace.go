@@ -12,6 +12,15 @@
 // and — because ObserverRand does not touch the environment's fork counter —
 // draws exactly the same random numbers as a traced one.
 //
+// "Only a nil check" is a contract the data path relies on, kept in three
+// ways. Attributes are typed: Int stores the integer and the exporter
+// renders it, so building one formats nothing. Start, StartSpan, Instant
+// and Mark copy their attributes only when a span is recorded, so the
+// variadic argument stays on the caller's stack. And per-operation span
+// sites on hot paths build their attributes in a small non-inlined helper
+// that runs only when Of returns a tracer, so the untraced frame carries
+// neither the attribute array nor the helper's locals.
+//
 // The package also hosts Registry, a unified directory of named metrics
 // (see registry.go), the Chrome trace_event exporter (export.go), and the
 // critical-path analyzer (critical.go). It may import only internal/sim and
@@ -19,7 +28,6 @@
 package trace
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -31,19 +39,29 @@ import (
 // "no span".
 type SpanID uint64
 
-// Attr is one key/value annotation on a span. Values are pre-rendered to
-// strings so spans stay comparable and the export is trivially
-// deterministic.
+// Attr is one key/value annotation on a span. An integer value is kept as
+// an integer and rendered in decimal only by Value, at export, so an
+// attribute costs no formatting when it is built. Attrs stay comparable.
 type Attr struct {
 	Key   string
-	Value string
+	str   string
+	num   int64
+	isNum bool
 }
 
 // Str returns a string attribute.
-func Str(k, v string) Attr { return Attr{Key: k, Value: v} }
+func Str(k, v string) Attr { return Attr{Key: k, str: v} }
 
 // Int returns an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: fmt.Sprintf("%d", v)} }
+func Int(k string, v int64) Attr { return Attr{Key: k, num: v, isNum: true} }
+
+// Value renders the attribute's value as the exporter writes it.
+func (a Attr) Value() string {
+	if a.isNum {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
+}
 
 // Span is one timed (or instant) interval of virtual time. Fields are
 // exported for the exporter and analyzer; instrumentation should only use
@@ -221,7 +239,7 @@ func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name
 		Name:   name,
 		Track:  p.Name(),
 		Start:  p.Now(),
-		Attrs:  attrs,
+		Attrs:  copyAttrs(attrs),
 		seq:    len(t.spans),
 		open:   true,
 	}
@@ -238,6 +256,15 @@ func (t *Tracer) StartSpan(p *sim.Proc, parent SpanID, links []SpanID, cat, name
 	t.spans = append(t.spans, s)
 	p.SetSpanCtx(s)
 	return s
+}
+
+// copyAttrs gives a recorded span its own attribute slice, so the caller's
+// variadic argument does not escape and an untraced call allocates nothing.
+func copyAttrs(attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	return append([]Attr(nil), attrs...)
 }
 
 // NoParent forces StartSpan to open a root span even when the process has
@@ -259,7 +286,7 @@ func (t *Tracer) Instant(track, cat, name string, attrs ...Attr) {
 		Track:   track,
 		Start:   now,
 		End:     now,
-		Attrs:   attrs,
+		Attrs:   copyAttrs(attrs),
 		Instant: true,
 		seq:     len(t.spans),
 	})
@@ -279,7 +306,7 @@ func (t *Tracer) Mark(track, cat, name string, start, end sim.Time, attrs ...Att
 		Track: track,
 		Start: start,
 		End:   end,
-		Attrs: attrs,
+		Attrs: copyAttrs(attrs),
 		seq:   len(t.spans),
 	}
 	t.spans = append(t.spans, s)
