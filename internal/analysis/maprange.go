@@ -56,6 +56,7 @@ var moduleSinks = map[sinkKey]bool{
 	{"internal/sim", "Proc", "WaitAny"}:          true,
 	{"internal/sim", "Proc", "Yield"}:            true,
 	{"internal/sim", "Env", "Go"}:                true,
+	{"internal/sim", "Env", "RunProc"}:           true,
 	{"internal/sim", "Env", "At"}:                true,
 	{"internal/sim", "Env", "After"}:             true,
 	{"internal/trace", "Tracer", "Start"}:        true,

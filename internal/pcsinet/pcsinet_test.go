@@ -2,8 +2,10 @@ package pcsinet
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/media"
@@ -12,8 +14,14 @@ import (
 
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
+	return startSeeded(t, core.DefaultOptions().Seed)
+}
+
+func startSeeded(t *testing.T, seed int64) (*Server, *Client) {
+	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Media = media.DRAM
+	opts.Seed = seed
 	srv := NewServer(core.New(opts))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -282,5 +290,114 @@ func TestSocketOverTCP(t *testing.T) {
 	}
 	if err := cl.SockSend(conn, "client", []byte("late")); err == nil {
 		t.Error("send after close succeeded over TCP")
+	}
+}
+
+// virtualNow reads the deployment's clock through the stats op.
+func virtualNow(t *testing.T, cl *Client) time.Duration {
+	t.Helper()
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := time.ParseDuration(st["virtual_now"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// Sequential gets over TCP advance the daemon's virtual clock by their
+// simulated service time (well under a millisecond each), not by a fixed
+// step per request, and by the same amount on every run with one seed.
+func TestVirtualClockFollowsServiceTime(t *testing.T) {
+	const n = 50
+	advance := func() time.Duration {
+		_, cl := startSeeded(t, 7)
+		tok, err := cl.Create("regular", "linearizable", "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Put(tok, make([]byte, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		start := virtualNow(t, cl)
+		for i := 0; i < n; i++ {
+			if _, err := cl.Get(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return virtualNow(t, cl) - start
+	}
+	a, b := advance(), advance()
+	t.Logf("%d gets advanced the clock by %v", n, a)
+	if a <= 0 || a >= n*time.Millisecond {
+		t.Fatalf("%d gets advanced the clock by %v, want more than 0 and under %v", n, a, n*time.Millisecond)
+	}
+	if a != b {
+		t.Fatalf("same seed, same requests: clock advanced %v then %v", a, b)
+	}
+}
+
+// serverGoroutines counts the goroutines running Server code: the accept
+// loop and one per connection. It reads stacks rather than
+// runtime.NumGoroutine, which also counts the runtime's finalizer goroutine
+// while that runs a finalizer (closed sockets have them).
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "pcsinet.(*Server).") {
+			n++
+		}
+	}
+	return n
+}
+
+// settleServerGoroutines waits for goroutines that are finishing to exit
+// and returns how many Server goroutines are left.
+func settleServerGoroutines(want int) int {
+	for i := 0; serverGoroutines() > want && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	return serverGoroutines()
+}
+
+// Close closes live connections and waits for their goroutines: the count
+// of goroutines running Server code returns to its starting value.
+func TestCloseWaitsForConnections(t *testing.T) {
+	base := settleServerGoroutines(0)
+	srv := NewServer(core.New(core.DefaultOptions()))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients []*Client
+	for i := 0; i < 3; i++ {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Stats(); err != nil { // the connection is being served
+			t.Fatal(err)
+		}
+		clients = append(clients, cl)
+	}
+	if got := serverGoroutines(); got != base+4 {
+		t.Fatalf("%d Server goroutines with three connections, want %d", got, base+4)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got := settleServerGoroutines(base); got != base {
+		t.Fatalf("%d Server goroutines after Close, want %d", got, base)
+	}
+	if _, err := clients[0].Stats(); err == nil {
+		t.Fatal("a call on a connection closed by the server succeeded")
 	}
 }

@@ -7,6 +7,20 @@
 // wire.BinaryCodec message. References never leave the server; clients
 // hold unguessable tokens mapped to capabilities server-side (the classic
 // "swiss number" pattern).
+//
+// A frame costs one write: WriteFrame encodes the message after a reserved
+// prefix and writes both together. Server and Client read through a
+// per-connection bufio.Reader, so a frame's header and payload usually
+// arrive in one read. ReadFrame grows its buffer only as payload bytes
+// arrive, so what a frame costs the reader follows the bytes the peer has
+// sent, not the length (up to MaxFrame) that it declares.
+//
+// The server runs each request as a simulation process on the goroutine
+// of the connection that carried it (sim.Env.RunProc), one request at a
+// time on the deployment's single virtual timeline. The clock advances by
+// each request's simulated service time, so virtual-time behaviour on the
+// daemon (idle reaping, anti-entropy, lease expiry) follows simulated time
+// rather than the number of requests.
 package pcsinet
 
 import (
@@ -14,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -54,37 +69,45 @@ var ErrFrameTooLarge = errors.New("pcsinet: frame exceeds MaxFrame")
 
 var codec = wire.BinaryCodec{}
 
-// WriteFrame writes one length-prefixed message.
+// frameChunk is how far ReadFrame allocates ahead of the payload bytes
+// that have arrived. Past it the buffer at most doubles per step, so
+// memory stays within about twice what the peer has actually sent.
+const frameChunk = 64 << 10
+
+// WriteFrame writes one length-prefixed message with a single Write.
 func WriteFrame(w io.Writer, m *wire.Message) error {
-	payload, err := codec.Encode(m)
-	if err != nil {
-		return err
-	}
-	if len(payload) > MaxFrame {
+	buf := codec.Append(make([]byte, 4, 4+64+len(m.Body)), m)
+	n := len(buf) - 4
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	_, err := w.Write(buf)
 	return err
 }
 
-// ReadFrame reads one length-prefixed message.
+// ReadFrame reads one length-prefixed message. A stream that ends inside
+// a frame yields io.ErrUnexpectedEOF; one that ends between frames, io.EOF.
 func ReadFrame(r io.Reader) (*wire.Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	var payload []byte
+	for len(payload) < n {
+		step := min(n-len(payload), max(len(payload), frameChunk))
+		payload = slices.Grow(payload, step)
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+step]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		payload = payload[:len(payload)+step]
 	}
 	return codec.Decode(payload)
 }

@@ -1,6 +1,7 @@
 package pcsinet
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -9,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/capability"
 	"repro/internal/consistency"
@@ -21,17 +21,21 @@ import (
 
 // Server serves a PCSI deployment over TCP. Requests are serialised
 // through the deterministic simulator one at a time; each request runs as
-// a fresh simulation process.
+// a simulation process on the goroutine of its connection.
 type Server struct {
 	cloud  *core.Cloud
 	client *core.Client
 	ln     net.Listener
 
-	mu     sync.Mutex
+	mu     sync.Mutex // held for each request: one timeline, one request at a time
 	tokens map[string]core.Ref
 	nss    map[string]*core.NS
 	fns    map[string]core.Ref
-	done   chan struct{}
+
+	connMu sync.Mutex // guards conns and closed
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup // the accept loop and every serveConn
 }
 
 // NewServer wraps a deployment. Functions registered through
@@ -43,7 +47,7 @@ func NewServer(cloud *core.Cloud) *Server {
 		tokens: make(map[string]core.Ref),
 		nss:    make(map[string]*core.NS),
 		fns:    make(map[string]core.Ref),
-		done:   make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
 	}
 }
 
@@ -55,33 +59,73 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	go s.acceptLoop()
+	s.wg.Add(1)
+	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
-// Close stops the server.
+// Close stops the server: it stops accepting, closes every live
+// connection, and returns once their goroutines have finished (a request
+// being served completes first; its response write then fails).
 func (s *Server) Close() error {
-	close(s.done)
-	if s.ln != nil {
-		return s.ln.Close()
+	s.connMu.Lock()
+	if s.closed {
+		s.connMu.Unlock()
+		return nil
 	}
-	return nil
+	s.closed = true
+	var err error
+	if s.ln != nil {
+		err = s.ln.Close()
+	}
+	for conn := range s.conns {
+		conn.Close() //nolint:errcheck // the connection is being abandoned
+	}
+	s.connMu.Unlock()
+	s.wg.Wait()
+	return err
 }
 
-func (s *Server) acceptLoop() {
+func (s *Server) acceptLoop(ln net.Listener) {
+	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
+			return
+		}
+		if !s.track(conn) {
+			conn.Close() //nolint:errcheck // accepted after Close
 			return
 		}
 		go s.serveConn(conn)
 	}
 }
 
+// track registers a connection for Close, unless the server is closed.
+func (s *Server) track(conn net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	conn.Close() //nolint:errcheck // Close may have closed it already
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+	s.wg.Done()
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer s.untrack(conn)
+	r := bufio.NewReader(conn)
 	for {
-		req, err := ReadFrame(conn)
+		req, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -101,20 +145,13 @@ func newToken(prefix string) string {
 	return prefix + "-" + hex.EncodeToString(b[:])
 }
 
-// runSim executes fn as a simulation process and drives the clock until
-// it finishes. The whole server shares one virtual timeline.
+// runSim executes fn as a simulation process on the calling goroutine and
+// returns when it finishes, leaving whatever it set in motion queued. The
+// whole server shares one virtual timeline, which advances by the
+// request's simulated latency.
 func (s *Server) runSim(fn func(p *sim.Proc) error) error {
-	env := s.cloud.Env()
 	var ferr error
-	finished := false
-	env.Go("rpc", func(p *sim.Proc) {
-		ferr = fn(p)
-		finished = true
-	})
-	for !finished && env.Pending() > 0 {
-		env.RunUntil(env.Now().Add(10 * time.Millisecond))
-	}
-	if !finished {
+	if !s.cloud.Env().RunProc("rpc", func(p *sim.Proc) { ferr = fn(p) }) {
 		return errors.New("pcsinet: request did not complete")
 	}
 	return ferr

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -207,4 +209,207 @@ func BenchmarkHandoff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// procGoroutines counts the goroutines running a process's code. It reads
+// stacks rather than runtime.NumGoroutine, which also counts the runtime's
+// finalizer goroutine while that runs a finalizer.
+func procGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sim.(*Proc).") {
+			n++
+		}
+	}
+	return n
+}
+
+// checkSettled fails the test unless live processes are live, none is left
+// parked when live is 0, and no more process goroutines exist than base.
+func checkSettled(t *testing.T, e *Env, live int, base int) {
+	t.Helper()
+	if e.LiveProcs() != live {
+		t.Fatalf("LiveProcs = %d, want %d", e.LiveProcs(), live)
+	}
+	if live == 0 && e.parkedHead != nil {
+		t.Fatalf("process %q left on the parked list", e.parkedHead.name)
+	}
+	// An exiting process's goroutine may still be winding down.
+	for i := 0; procGoroutines() > base && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	if n := procGoroutines(); n > base {
+		t.Fatalf("%d process goroutines, want at most %d", n, base)
+	}
+}
+
+// A RunProc process that waits on an event nobody will complete is
+// stranded when the queue drains, whether the drain happens on its own
+// dispatch loop or on another process's. RunProc returns false, the
+// process's deferred calls run without dispatching anything (as under
+// shutdown, a Sleep there unwinds again), and nothing
+// is left parked or running. Completing the event later must not try to
+// resume the abandoned process.
+func TestRunProcStrandedByDrainedQueue(t *testing.T) {
+	base := procGoroutines()
+	e := NewEnv(1)
+	never := e.NewEvent()
+	var deferred []Time
+	body := func(helper bool) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() {
+				deferred = append(deferred, p.Now())
+				p.Sleep(50) // unwinds again: dispatch has stopped
+				t.Error("Sleep returned in a stranded process")
+			}()
+			if helper {
+				e.Go("helper", func(h *Proc) { h.Sleep(7) })
+			}
+			p.Sleep(2)
+			p.Wait(never) //nolint:errcheck
+			t.Error("stranded process resumed")
+		}
+	}
+	if e.RunProc("alone", body(false)) {
+		t.Fatal("RunProc stranded on its own loop returned true")
+	}
+	checkSettled(t, e, 0, base)
+	if e.RunProc("helped", body(true)) {
+		t.Fatal("RunProc stranded by a helper's exit returned true")
+	}
+	checkSettled(t, e, 0, base)
+	if want := []Time{2, 9}; !reflect.DeepEqual(deferred, want) {
+		t.Fatalf("deferred calls ran at %v, want %v", deferred, want)
+	}
+	if !e.RunProc("completer", func(p *Proc) { never.Complete(nil); p.Sleep(1) }) {
+		t.Fatal("RunProc completing the stranded processes' event returned false")
+	}
+	if e.Pending() != 0 || e.Now() != 10 {
+		t.Fatalf("after completer: %d events pending, clock %v; want 0 at 10", e.Pending(), e.Now())
+	}
+	checkSettled(t, e, 0, base)
+}
+
+// A callback that panics while the RunProc process is parked, on another
+// process's dispatch loop, unwinds the process and reaches RunProc's
+// caller. The abandoned process's queued wake-up is dropped, so the other
+// process still finishes in a later Run.
+func TestRunProcCallbackPanicReachesCaller(t *testing.T) {
+	base := procGoroutines()
+	e := NewEnv(1)
+	helperDone := false
+	e.Go("helper", func(p *Proc) {
+		p.Sleep(3)
+		p.Sleep(10)
+		helperDone = true
+	})
+	e.At(5, func() { panic("boom") })
+	unwound := false
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.RunProc("rpc", func(p *Proc) {
+			defer func() { unwound = true }()
+			p.Sleep(10)
+			t.Error("process resumed after the panic")
+		})
+		return nil
+	}()
+	if got != "boom" || !unwound {
+		t.Fatalf("recovered %v (unwound %v), want boom after unwinding", got, unwound)
+	}
+	if e.Now() != 5 || e.LiveProcs() != 1 || e.parkedHead == nil || e.parkedHead.name != "helper" {
+		t.Fatalf("after the panic: clock %v, %d live; want 5 with only the helper parked", e.Now(), e.LiveProcs())
+	}
+	e.Run()
+	if !helperDone || e.Now() != 13 {
+		t.Fatalf("after Run: helper done %v at %v, want done at 13", helperDone, e.Now())
+	}
+	checkSettled(t, e, 0, base)
+
+	// The same on the RunProc process's own loop, before fn has started.
+	e2 := NewEnv(1)
+	e2.At(0, func() { panic("early") })
+	got = func() (v any) {
+		defer func() { v = recover() }()
+		e2.RunProc("rpc", func(p *Proc) { t.Error("fn ran after the panic") })
+		return nil
+	}()
+	if got != "early" || e2.Pending() != 0 || e2.LiveProcs() != 0 {
+		t.Fatalf("recovered %v with %d pending, %d live; want early, 0, 0", got, e2.Pending(), e2.LiveProcs())
+	}
+}
+
+// RunProc returns as soon as its process does. What the process started
+// stays queued, and a later Run drains it.
+func TestRunProcLeavesLaterEventsQueued(t *testing.T) {
+	e := NewEnv(1)
+	var log []string
+	ok := e.RunProc("rpc", func(p *Proc) {
+		e.Go("background", func(b *Proc) {
+			b.Sleep(100)
+			log = append(log, "background@"+b.Now().String())
+		})
+		e.After(50, func() { log = append(log, "callback@"+e.Now().String()) })
+		p.Sleep(5)
+	})
+	if !ok || e.Now() != 5 || len(log) != 0 || e.Pending() != 2 || e.LiveProcs() != 1 {
+		t.Fatalf("after RunProc: ok %v, clock %v, log %v, %d pending, %d live",
+			ok, e.Now(), log, e.Pending(), e.LiveProcs())
+	}
+	e.Run()
+	want := []string{"callback@50ns", "background@100ns"}
+	if !reflect.DeepEqual(log, want) || e.Now() != 100 {
+		t.Fatalf("after Run: log %v at %v, want %v at 100ns", log, e.Now(), want)
+	}
+}
+
+// A RunProc process interleaves with same-instant callbacks and processes
+// exactly as the same body spawned with Go does.
+func TestRunProcSameInstantOrderMatchesGo(t *testing.T) {
+	scene := func(e *Env, log *[]string) func(p *Proc) {
+		note := func(s string) { *log = append(*log, s+"@"+e.Now().String()) }
+		e.Go("early", func(p *Proc) {
+			note("early1")
+			p.Yield()
+			note("early2")
+			p.Sleep(2)
+			note("early3")
+		})
+		e.At(0, func() { note("cb0") })
+		e.At(2, func() { note("cb2") })
+		return func(p *Proc) {
+			note("rpc1")
+			e.At(p.Now(), func() { note("cb-now") })
+			e.Go("child", func(c *Proc) {
+				note("child1")
+				c.Sleep(2)
+				note("child2")
+			})
+			p.Yield()
+			note("rpc2")
+			p.Sleep(2)
+			note("rpc3")
+		}
+	}
+	var want []string
+	ref := NewEnv(1)
+	ref.Go("rpc", scene(ref, &want))
+	ref.Run()
+
+	var got []string
+	e := NewEnv(1)
+	if !e.RunProc("rpc", scene(e, &got)) {
+		t.Fatal("RunProc returned false")
+	}
+	n := len(got)
+	if n == 0 || got[n-1] != "rpc3@2ns" || !reflect.DeepEqual(got, want[:n]) {
+		t.Fatalf("at RunProc's return: %v, want a prefix of %v ending at rpc3", got, want)
+	}
+	e.Run()
+	if !reflect.DeepEqual(got, want) || e.Dispatched() != ref.Dispatched() || e.Now() != ref.Now() {
+		t.Fatalf("RunProc then Run: %v (%d events, end %v); Go then Run: %v (%d events, end %v)",
+			got, e.Dispatched(), e.Now(), want, ref.Dispatched(), ref.Now())
+	}
 }

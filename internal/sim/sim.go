@@ -17,6 +17,13 @@
 // the RunUntil limit. A callback that panics on a process goroutine has its
 // panic caught there and re-raised from Run, on the caller's goroutine.
 //
+// RunProc runs one process on the calling goroutine instead of a new one:
+// the caller parks and dispatches like any process until its start event
+// comes up, runs the function, and returns as soon as it does, leaving
+// later events queued. A server that maps each request to a process (the
+// pcsid daemon) uses it to run the request on the goroutine that read it,
+// advancing the clock only by the request's own simulated latency.
+//
 // Virtual time is completely decoupled from wall-clock time: a Sleep of ten
 // simulated minutes costs only one event dispatch.
 package sim
@@ -139,7 +146,16 @@ type Env struct {
 	// horizon, or a callback panicked.
 	done     chan struct{}
 	panicked any // a callback's recovered panic, re-raised by Run
-	procs    int // live processes
+	// caller is the process RunProc is running on its caller's goroutine,
+	// or nil. While it is set, a dispatch loop that stops wakes caller
+	// instead of signalling done: caller can never be resumed by an
+	// event, so it unwinds (abort is errStranded) and RunProc returns.
+	caller *Proc
+	// abort, when set, is the panic with which every process resuming
+	// from park unwinds: ErrAborted during shutdown, errStranded for a
+	// stranded RunProc process.
+	abort error
+	procs int // live processes
 	// Parked processes form an intrusive doubly-linked list in park order
 	// (head = oldest), so parking and unparking are O(1) and shutdown still
 	// aborts deterministically oldest-first.
@@ -306,7 +322,7 @@ func (p *Proc) exit() {
 		}
 	}
 	if e.dispatch(nil) == stopped {
-		e.done <- struct{}{}
+		e.stop(nil)
 	}
 }
 
@@ -328,8 +344,9 @@ func (p *Proc) park() {
 	case handedOff:
 		<-p.resume
 	case stopped:
-		e.done <- struct{}{}
-		<-p.resume
+		if e.stop(p) {
+			<-p.resume
+		}
 	}
 	if p.parkedPrev != nil {
 		p.parkedPrev.parkedNext = p.parkedNext
@@ -342,9 +359,33 @@ func (p *Proc) park() {
 		e.parkedTail = p.parkedPrev
 	}
 	p.parkedPrev, p.parkedNext = nil, nil
-	if e.closed {
-		panic(ErrAborted)
+	if e.abort != nil {
+		panic(e.abort)
 	}
+}
+
+// stop hands control back after a dispatch loop on self's goroutine (nil
+// for an exiting process) stopped, and reports whether self must then
+// wait to be resumed. Normally the goroutine waiting in Run is signalled.
+// While RunProc runs, its process is woken instead (or, if it is self,
+// simply continues) with abort set and the horizon at -1, so it unwinds
+// without dispatching anything further. It is kept out of line: park
+// runs on every event, stop once per Run.
+//
+//go:noinline
+func (e *Env) stop(self *Proc) bool {
+	c := e.caller
+	if c == nil {
+		e.done <- struct{}{}
+		return true
+	}
+	e.abort = errStranded
+	e.horizon = -1
+	if c == self {
+		return false
+	}
+	c.resume <- struct{}{}
+	return true
 }
 
 // wake schedules the parked process p to resume at time t.
@@ -354,8 +395,14 @@ func (e *Env) wake(p *Proc, t Time) {
 	e.scheduleProc(t, p, false)
 }
 
-// wakeNow schedules p to resume at the current time.
-func (e *Env) wakeNow(p *Proc) { e.wake(p, e.now) }
+// wakeNow schedules p to resume at the current time. Events, resources and
+// queues wake their waiters through it; a waiter that RunProc abandoned is
+// dead and is never resumed.
+func (e *Env) wakeNow(p *Proc) {
+	if !p.dead {
+		e.wake(p, e.now)
+	}
+}
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
@@ -410,6 +457,74 @@ func (e *Env) runUntil(limit Time) Time {
 }
 
 func (e *Env) stopRunning() { e.running = false }
+
+// errStranded unwinds a RunProc process that no event can resume.
+var errStranded = errors.New("sim: process stranded")
+
+// RunProc runs fn as a process on the calling goroutine and reports true
+// once fn returns. It starts as Go would start it, after every event
+// already queued for the current instant, and no goroutine is spawned: the
+// caller parks and dispatches like any process. RunProc returns as soon as
+// fn does; events still queued stay queued for the next Run or RunProc,
+// and the clock reads the instant fn returned.
+//
+// If dispatch stops while fn is parked, fn can never resume: it is unwound
+// and RunProc returns false. Dispatch stops when the queue drains, or when
+// an At/After callback panics; that panic is re-raised from RunProc, as
+// Run re-raises it. fn's deferred calls run with dispatch stopped, and as
+// under shutdown one that parks again unwinds at once. A panic in fn
+// itself propagates unchanged. RunProc on an environment that Run has
+// shut down returns false without running fn.
+func (e *Env) RunProc(name string, fn func(p *Proc)) (ok bool) {
+	if e.running {
+		panic("sim: Run called re-entrantly")
+	}
+	if e.closed {
+		return false
+	}
+	e.running = true
+	e.horizon = math.MaxInt64
+	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	e.procs++
+	e.caller = p
+	defer func() {
+		p.dead = true
+		e.procs--
+		e.caller = nil
+		e.running = false
+		if e.abort != errStranded {
+			return // fn returned, or panicked on its own
+		}
+		e.abort = nil
+		if r := recover(); r != nil && r != errStranded {
+			panic(r)
+		}
+		ok = false // even if fn recovered the unwind and returned
+		e.forget(p)
+		if v := e.panicked; v != nil {
+			e.panicked = nil
+			panic(v)
+		}
+	}()
+	e.scheduleProc(e.now, p, false)
+	p.park()
+	fn(p)
+	return true
+}
+
+// forget drops the queued resumes of p, a process RunProc abandoned while
+// events were still queued (a callback panicked). The survivors are pushed
+// back into the same array: each push writes only slots already read.
+func (e *Env) forget(p *Proc) {
+	old := e.queue
+	e.queue = old[:0]
+	for _, ev := range old {
+		if ev.proc != p {
+			e.queue.push(ev)
+		}
+	}
+	clear(old[len(e.queue):])
+}
 
 // handoff is how a dispatch loop ended.
 type handoff uint8
@@ -472,6 +587,7 @@ func (e *Env) catchPanic() {
 // and hands control straight back, even if a deferred function sleeps.
 func (e *Env) shutdown() {
 	e.closed = true
+	e.abort = ErrAborted
 	e.horizon = -1
 	for e.parkedHead != nil {
 		p := e.parkedHead

@@ -117,8 +117,13 @@ func getString(b []byte) (string, []byte, error) {
 }
 
 // Encode implements Codec.
-func (BinaryCodec) Encode(m *Message) ([]byte, error) {
-	buf := make([]byte, 0, 64+len(m.Body))
+func (c BinaryCodec) Encode(m *Message) ([]byte, error) {
+	return c.Append(make([]byte, 0, 64+len(m.Body)), m), nil
+}
+
+// Append appends the encoding of m to buf and returns the extended buffer,
+// so a caller can frame the message without copying it.
+func (BinaryCodec) Append(buf []byte, m *Message) []byte {
 	buf = putString(buf, m.Op)
 	buf = putString(buf, m.Key)
 	buf = putString(buf, m.Auth)
@@ -135,8 +140,7 @@ func (BinaryCodec) Encode(m *Message) ([]byte, error) {
 		buf = putString(buf, m.Headers[k])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.Body)))
-	buf = append(buf, m.Body...)
-	return buf, nil
+	return append(buf, m.Body...)
 }
 
 // Decode implements Codec.
@@ -164,7 +168,9 @@ func (BinaryCodec) Decode(b []byte) (*Message, error) {
 	}
 	b = b[k:]
 	if nh > 0 {
-		m.Headers = make(map[string]string, nh)
+		// Each header takes at least two bytes, so the count read from the
+		// input can size the map only once bounded by what is left of it.
+		m.Headers = make(map[string]string, min(nh, uint64(len(b)/2)))
 		for i := uint64(0); i < nh; i++ {
 			var key, val string
 			if key, b, err = getString(b); err != nil {

@@ -35,6 +35,11 @@ fi
 echo '== go test -race'
 go test -race ./...
 
+echo '== fuzz smoke (10s per fuzzer: decoders of bytes from the network must not panic)'
+go test -run '^$' -fuzz '^FuzzBinaryDecode$' -fuzztime=10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzJSONDecode$' -fuzztime=10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime=10s ./internal/pcsinet
+
 echo '== trace export smoke'
 go run ./cmd/pcsictl trace e1 -o /tmp/t.json 2>/dev/null
 go run ./cmd/pcsictl trace -verify /tmp/t.json
